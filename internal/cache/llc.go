@@ -16,6 +16,11 @@
 // so data resident outside the current mask still hits.
 package cache
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // LineBytes is the cache line size.
 const LineBytes = 64
 
@@ -55,23 +60,34 @@ func (s Stats) MissRatio() float64 {
 }
 
 // LLC is one socket's simulated last-level cache.
+//
+// State lives in flat arrays so an access touches a few cache lines of the
+// host and allocates nothing. Way w of simulated set s sits at index
+// s*ways+w of tags, prev and next; valid and dirty hold one way bitmask per
+// set. Replacement is exact LRU over all ways of a set, kept as a doubly
+// linked recency list (head = most recently used, tail = least): a hit or
+// fill moves the way to the head, and the LRU victim among the CAT-masked
+// ways is the first masked way met walking from the tail.
 type LLC struct {
 	cfg     Config
 	simSets int
 	mask    uint64 // CAT way mask: bit i set => way i may be allocated into
 
-	tags  [][]uint64
-	valid [][]bool
-	dirty [][]bool
-	// age is a per-set monotonically increasing stamp; larger = more recent.
-	age   [][]uint64
-	stamp uint64
+	tags       []uint64 // line number held by each way
+	valid      []uint64 // per-set bitmask of ways holding a line
+	dirty      []uint64 // per-set bitmask of valid ways written since fill
+	prev, next []uint8  // recency-list links: prev toward the head, next toward the tail
+	head, tail []uint8  // per set: most and least recently used way
 
 	stats Stats
 }
 
-// New creates an LLC with all ways allocated (full mask).
+// New creates an LLC with all ways allocated (full mask). It panics if
+// cfg.Ways is outside [1, 64]: way masks are 64-bit.
 func New(cfg Config) *LLC {
+	if cfg.Ways < 1 || cfg.Ways > 64 {
+		panic(fmt.Sprintf("cache: Config.Ways = %d, want 1..64 (way masks are 64-bit)", cfg.Ways))
+	}
 	if cfg.SetSample < 1 {
 		cfg.SetSample = 1
 	}
@@ -83,20 +99,29 @@ func New(cfg Config) *LLC {
 	if simSets < 1 {
 		simSets = 1
 	}
+	n := simSets * cfg.Ways
 	c := &LLC{
 		cfg:     cfg,
 		simSets: simSets,
-		mask:    (uint64(1) << uint(cfg.Ways)) - 1,
+		mask:    (uint64(1) << uint(cfg.Ways)) - 1, // all ones at 64 ways
+		tags:    make([]uint64, n),
+		valid:   make([]uint64, simSets),
+		dirty:   make([]uint64, simSets),
+		prev:    make([]uint8, n),
+		next:    make([]uint8, n),
+		head:    make([]uint8, simSets),
+		tail:    make([]uint8, simSets),
 	}
-	c.tags = make([][]uint64, simSets)
-	c.valid = make([][]bool, simSets)
-	c.dirty = make([][]bool, simSets)
-	c.age = make([][]uint64, simSets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.dirty[i] = make([]bool, cfg.Ways)
-		c.age[i] = make([]uint64, cfg.Ways)
+	// Every set starts as the list 0 -> 1 -> ... -> ways-1. The order of
+	// never-filled ways is irrelevant: they are invalid, and an invalid
+	// masked way is always filled before the list is consulted.
+	for s := 0; s < simSets; s++ {
+		base := s * cfg.Ways
+		for w := 0; w < cfg.Ways; w++ {
+			c.prev[base+w] = uint8(w - 1)
+			c.next[base+w] = uint8(w + 1)
+		}
+		c.tail[s] = uint8(cfg.Ways - 1)
 	}
 	return c
 }
@@ -135,13 +160,11 @@ func (c *LLC) AllocatedWays() int {
 
 // Flush invalidates the entire cache (the paper reboots between the
 // largest and smallest allocation to shed out-of-mask residue).
+// The recency lists are left as they are, as an invalid way's position in
+// them is never consulted.
 func (c *LLC) Flush() {
-	for i := range c.valid {
-		for j := range c.valid[i] {
-			c.valid[i][j] = false
-			c.dirty[i][j] = false
-		}
-	}
+	clear(c.valid)
+	clear(c.dirty)
 }
 
 // Stats returns the scaled counters accumulated so far.
@@ -155,44 +178,63 @@ func (c *LLC) ResetStats() { c.stats = Stats{} }
 // before taking the set index makes consecutive sampled lines sweep the
 // simulated sets round-robin, mirroring the balanced set mapping of real
 // hardware for sequential data.
-func (c *LLC) accessLine(line uint64, write bool) (bool, bool) {
+func (c *LLC) accessLine(line uint64, write bool) (miss, wb bool) {
 	s := int((line / uint64(c.cfg.SetSample)) % uint64(c.simSets))
-	tag := line
-	c.stamp++
-	// Lookup searches all ways: CAT does not restrict hits.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == tag {
-			c.age[s][w] = c.stamp
+	base := s * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	valid := c.valid[s]
+	// Lookup searches all ways: CAT does not restrict hits. Invalid ways
+	// may keep a stale tag, so a tag match counts only on a valid way.
+	for w, t := range tags {
+		if t == line && valid&(1<<uint(w)) != 0 {
+			c.moveToHead(s, base, w)
 			if write {
-				c.dirty[s][w] = true
+				c.dirty[s] |= 1 << uint(w)
 			}
 			return false, false
 		}
 	}
-	// Miss: fill into an allowed way, evicting LRU among allowed ways.
-	victim, oldest := -1, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if !c.valid[s][w] {
-			victim = w
-			break
-		}
-		if c.age[s][w] < oldest {
-			oldest = c.age[s][w]
-			victim = w
+	// Miss: fill the lowest-numbered invalid way in the mask, else evict
+	// the least recently used way in the mask.
+	var w int
+	if free := c.mask &^ valid; free != 0 {
+		w = bits.TrailingZeros64(free)
+	} else {
+		w = int(c.tail[s])
+		for c.mask&(1<<uint(w)) == 0 {
+			w = int(c.prev[base+w])
 		}
 	}
-	wb := false
-	if victim >= 0 {
-		wb = c.valid[s][victim] && c.dirty[s][victim]
-		c.tags[s][victim] = tag
-		c.valid[s][victim] = true
-		c.dirty[s][victim] = write
-		c.age[s][victim] = c.stamp
+	bit := uint64(1) << uint(w)
+	wb = valid&c.dirty[s]&bit != 0
+	tags[w] = line
+	c.valid[s] = valid | bit
+	if write {
+		c.dirty[s] |= bit
+	} else {
+		c.dirty[s] &^= bit
 	}
+	c.moveToHead(s, base, w)
 	return true, wb
+}
+
+// moveToHead makes way w the most recently used way of set s, whose ways
+// start at index base. The head's prev and the tail's next are unused.
+func (c *LLC) moveToHead(s, base, w int) {
+	h := int(c.head[s])
+	if h == w {
+		return
+	}
+	p, n := c.prev[base+w], c.next[base+w]
+	c.next[base+int(p)] = n
+	if int(c.tail[s]) == w {
+		c.tail[s] = p
+	} else {
+		c.prev[base+int(n)] = p
+	}
+	c.next[base+w] = uint8(h)
+	c.prev[base+h] = uint8(w)
+	c.head[s] = uint8(w)
 }
 
 // maxSimPerTouch bounds the number of line accesses one bulk touch

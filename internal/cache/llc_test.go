@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +174,46 @@ func TestSupersetMasksPreserveResidency(t *testing.T) {
 	st := c.Sequential(0, ws, false)
 	if r := st.MissRatio(); r > 0.05 {
 		t.Fatalf("data lost when growing mask: miss ratio %.3f", r)
+	}
+}
+
+func TestNewRejectsBadWays(t *testing.T) {
+	for _, ways := range []int{0, -1, 65} {
+		func() {
+			defer func() {
+				r := recover()
+				msg, ok := r.(string)
+				if !ok || !strings.Contains(msg, "Config.Ways") {
+					t.Errorf("New with Ways=%d: panic %v, want a Config.Ways message", ways, r)
+				}
+			}()
+			New(Config{SizeBytes: 20 << 20, Ways: ways, SetSample: 64})
+		}()
+	}
+	// 64 ways is the widest mask and must work.
+	c := New(Config{SizeBytes: 4 << 20, Ways: 64, SetSample: 16})
+	if c.WayMask() != ^uint64(0) || c.AllocatedWays() != 64 {
+		t.Fatalf("64-way mask = %#x (%d ways)", c.WayMask(), c.AllocatedWays())
+	}
+}
+
+// TestAccessesDoNotAllocate pins the simulator hot path: a touch of any
+// pattern allocates nothing once the cache exists.
+func TestAccessesDoNotAllocate(t *testing.T) {
+	c := New(PaperLLC())
+	g := sim.NewRNG(3)
+	pos := g.Float64
+	base := uint64(0)
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Sequential", func() { c.Sequential(base, 8<<20, true); base += 1 << 20 }},
+		{"Random", func() { c.Random(base, 64<<20, 1<<16, false, pos) }},
+		{"Strided", func() { c.Strided(base, 1<<16, 256, false) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
 	}
 }

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -76,24 +75,70 @@ type event struct {
 	epoch uint64 // wakeup is valid only if the proc has not resumed since
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// typed rather than built on container/heap, whose interface boxes every
+// pushed and popped event into an allocation. seq is unique, so the order
+// is total and any correct heap pops the same sequence.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the *Proc reference
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
 func (s *Sim) schedule(at Time, p *Proc) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, p: p, epoch: p.epoch})
+	s.events.push(event{at: at, seq: s.seq, p: p, epoch: p.epoch})
 	p.pending++
 }
 
@@ -201,12 +246,21 @@ func (p *Proc) Yield() {
 // wait queues stay parked; long-running simulations should arrange a
 // cooperative shutdown (broadcast a stop flag and WakeAll their queues) so
 // procs unwind cleanly rather than leaking goroutines.
+//
+// When profiling is armed at entry, wall-clock phase timers run too:
+// dispatch overhead (heap pops, stale-wakeup filtering, channel handoff
+// setup) accrues to sim.loop, the time between resume and yield — the
+// proc actually executing — to sim.proc. Simulated behaviour is the same
+// either way; only host-side counters differ.
 func (s *Sim) Run(until Time) Time {
-	if Profiling() {
-		return s.runProfiled(until)
+	prof := Profiling()
+	start := s.now
+	var t0 time.Time
+	if prof {
+		t0 = time.Now()
 	}
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
+	for len(s.events) > 0 {
+		ev := s.events.pop()
 		ev.p.pending--
 		if ev.p.done {
 			continue
@@ -220,67 +274,34 @@ func (s *Sim) Run(until Time) Time {
 		if ev.at > until {
 			// Put it back and stop.
 			s.seq++
-			heap.Push(&s.events, event{at: ev.at, seq: ev.seq, p: ev.p, epoch: ev.epoch})
+			s.events.push(ev)
 			ev.p.pending++
 			s.now = until
-			return s.now
+			break
 		}
 		s.now = ev.at
 		ev.p.waiting = false
 		ev.p.epoch++
 		s.cur = ev.p
+		var pt time.Time
+		if prof {
+			pt = time.Now()
+		}
 		ev.p.resume <- struct{}{}
 		<-s.yield
+		if prof {
+			procWall := time.Since(pt)
+			ProfProc.Add(procWall, 1)
+			ProfLoop.Add(-procWall, 0) // proc time is inside the loop total; carve it out
+		}
 		s.cur = nil
 	}
 	if s.now < until {
 		s.now = until
 	}
-	return s.now
-}
-
-// runProfiled is Run with wall-clock phase timers: dispatch overhead
-// (heap pops, stale-wakeup filtering, channel handoff setup) accrues to
-// sim.loop, the time between resume and yield — the proc actually
-// executing — to sim.proc. Identical simulated behavior to Run; only
-// host-side counters differ.
-func (s *Sim) runProfiled(until Time) Time {
-	start := s.now
-	t0 := time.Now()
-	defer func() {
+	if prof {
 		ProfLoop.Add(time.Since(t0), 1)
 		profAddSim(Duration(s.now - start))
-	}()
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		ev.p.pending--
-		if ev.p.done {
-			continue
-		}
-		if ev.epoch != ev.p.epoch {
-			continue
-		}
-		if ev.at > until {
-			s.seq++
-			heap.Push(&s.events, event{at: ev.at, seq: ev.seq, p: ev.p, epoch: ev.epoch})
-			ev.p.pending++
-			s.now = until
-			return s.now
-		}
-		s.now = ev.at
-		ev.p.waiting = false
-		ev.p.epoch++
-		s.cur = ev.p
-		pt := time.Now()
-		ev.p.resume <- struct{}{}
-		<-s.yield
-		procWall := time.Since(pt)
-		ProfProc.Add(procWall, 1)
-		ProfLoop.Add(-procWall, 0) // proc time is inside the deferred total; carve it out
-		s.cur = nil
-	}
-	if s.now < until {
-		s.now = until
 	}
 	return s.now
 }
