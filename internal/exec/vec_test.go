@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -259,47 +263,80 @@ func diffCases() []diffCase {
 	return cases
 }
 
-// TestVectorizedMatchesRowEngine is the row-vs-batch differential gate:
-// every operator kind, join type, and aggregate kind (plus empty inputs,
-// min/max sentinels, and spill paths) must produce identical rows in
-// identical order at DOP 1 and DOP 4.
+// TestVectorizedMatchesRowEngine is the executor's result gate: every
+// operator kind, join type, and aggregate kind (plus empty inputs,
+// min/max sentinels, and spill paths) must reproduce the committed
+// digest in testdata/diffcases.digest at DOP 1 and DOP 4. The digests
+// were recorded while the row-at-a-time engine still ran beside the
+// batch engine and both matched each one, so a match here is a match
+// with the row engine's rows, order, and spill accounting.
 func TestVectorizedMatchesRowEngine(t *testing.T) {
+	want := loadDigests(t, "testdata/diffcases.digest")
 	for _, c := range diffCases() {
 		c := c
 		for _, cores := range []int{1, 4} {
 			cores := cores
-			t.Run(fmt.Sprintf("%s/dop%d", c.name, cores), func(t *testing.T) {
-				runCase := func(vec bool) ([]Row, QueryStats) {
+			name := fmt.Sprintf("%s/dop%d", c.name, cores)
+			t.Run(name, func(t *testing.T) {
+				for _, vec := range []bool{false, true} {
 					te := newTestEnv(cores)
 					if c.grant != 0 {
 						te.env.Grant = &Grant{Bytes: c.grant}
 					}
 					te.env.Vectorized = vec
-					return te.run(c.build(te))
-				}
-				rowOut, rowSt := runCase(false)
-				vecOut, vecSt := runCase(true)
-				if len(rowOut) == 0 && len(vecOut) == 0 {
-					// nil vs empty: both engines emitted no rows.
-				} else if !reflect.DeepEqual(rowOut, vecOut) {
-					t.Fatalf("row/vec mismatch:\nrow (%d): %v\nvec (%d): %v",
-						len(rowOut), sampleRows(rowOut), len(vecOut), sampleRows(vecOut))
-				}
-				if rowSt.OutRows != vecSt.OutRows {
-					t.Fatalf("OutRows: row %d vec %d", rowSt.OutRows, vecSt.OutRows)
-				}
-				if rowSt.Spills != vecSt.Spills || rowSt.SpillBytes != vecSt.SpillBytes {
-					t.Fatalf("spills: row %+v vec %+v", rowSt, vecSt)
-				}
-				if c.grant != 0 && rowSt.Spills == 0 {
-					t.Fatalf("spill case did not spill")
-				}
-				if len(vecOut) > 0 && vecSt.Batches == 0 {
-					t.Fatalf("vectorized run reported no batches")
+					rows, st := te.run(c.build(te))
+					got := resultDigest(rows, st)
+					if got != want[name] {
+						t.Fatalf("vectorized=%v: digest mismatch\ngot  %s %s\nwant %s %s\nrows (%d): %v",
+							vec, name, got, name, want[name], len(rows), sampleRows(rows))
+					}
+					if c.grant != 0 && st.Spills == 0 {
+						t.Fatalf("spill case did not spill")
+					}
+					if vec && len(rows) > 0 && st.Batches == 0 {
+						t.Fatalf("vectorized run reported no batches")
+					}
 				}
 			})
 		}
 	}
+}
+
+// resultDigest renders one query result as a digest line: an FNV-1a
+// hash over the rows in order (each row's width, then its values) and
+// the OutRows, Spills, and SpillBytes stats.
+func resultDigest(rows []Row, st QueryStats) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, r := range rows {
+		put(uint64(len(r)))
+		for _, v := range r {
+			put(uint64(v))
+		}
+	}
+	return fmt.Sprintf("%016x rows=%d spills=%d spill_bytes=%d", h.Sum64(), st.OutRows, st.Spills, st.SpillBytes)
+}
+
+// loadDigests reads a digest file: one "<name> <digest>" line per case.
+func loadDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", path, line)
+		}
+		out[name] = digest
+	}
+	return out
 }
 
 func sampleRows(rows []Row) []Row {
