@@ -18,7 +18,11 @@
 //   - a metric is higher-better when its name contains "speedup" or
 //     "gain" or ends in "_x", lower-better when it contains "sim_ms" or
 //     "mpki"; everything else defaults to lower-better;
-//   - a relative regression beyond -threshold (default 10%) fails.
+//   - a relative regression beyond -threshold (default 10%) fails;
+//   - a gated metric in the snapshot that the run lacks fails, also when
+//     its whole benchmark is missing; retiring a benchmark or metric takes
+//     a fresh snapshot without it. A missing benchmark with only ungated
+//     metrics is reported and passes.
 //
 // The first run (no previous snapshot) just seeds the baseline.
 package main
@@ -174,42 +178,11 @@ func main() {
 
 	failed := false
 	if *check && prev != nil {
-		var names []string
-		for n := range benches {
-			names = append(names, n)
+		lines, ok := compare(prev.Benchmarks, benches, *threshold, *wall)
+		for _, l := range lines {
+			fmt.Println(l)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			base, ok := prev.Benchmarks[name]
-			if !ok {
-				fmt.Printf("new benchmark %s (no baseline)\n", name)
-				continue
-			}
-			var metrics []string
-			for m := range benches[name] {
-				metrics = append(metrics, m)
-			}
-			sort.Strings(metrics)
-			for _, m := range metrics {
-				now := benches[name][m]
-				was, ok := base[m]
-				if !ok || !gated(m, *wall) || was == 0 {
-					continue
-				}
-				delta := (now - was) / was
-				worse := delta > *threshold
-				if higherBetter(m) {
-					worse = delta < -*threshold
-				}
-				status := "ok"
-				if worse {
-					status = "REGRESSION"
-					failed = true
-				}
-				fmt.Printf("%-40s %-18s %12.4g -> %12.4g  (%+.1f%%)  %s\n",
-					name, m, was, now, 100*delta, status)
-			}
-		}
+		failed = !ok
 	} else if *check {
 		fmt.Println("no previous BENCH_*.json snapshot; seeding baseline")
 	}
@@ -226,8 +199,73 @@ func main() {
 		fmt.Printf("wrote %s (seq %d, %d benchmarks)\n", out, cur.Seq, len(benches))
 	}
 	if failed {
-		fatal("benchmark regression beyond %.0f%% threshold", 100**threshold)
+		fatal("benchmark regression beyond %.0f%% threshold, or a baseline benchmark or metric missing from the run", 100**threshold)
 	}
+}
+
+// compare checks the current run against the baseline snapshot's
+// benchmarks and returns one report line per compared, new, or missing
+// benchmark or metric, and whether the check passes. It fails on a gated
+// metric that regressed beyond threshold, and on a gated baseline metric
+// missing from the run, whether its benchmark ran or not: retiring one
+// takes a fresh snapshot. A missing benchmark with no gated metric (say,
+// one named after the host's CPU count) is reported but passes.
+func compare(base, cur map[string]map[string]float64, threshold float64, wall bool) (lines []string, ok bool) {
+	ok = true
+	for _, name := range sortedKeys(base) {
+		if _, ran := cur[name]; ran {
+			continue
+		}
+		status := "ungated"
+		for m := range base[name] {
+			if gated(m, wall) {
+				status, ok = "MISSING", false
+			}
+		}
+		lines = append(lines, fmt.Sprintf("%-40s missing from this run (in the baseline)  %s", name, status))
+	}
+	for _, name := range sortedKeys(cur) {
+		was, inBase := base[name]
+		if !inBase {
+			lines = append(lines, fmt.Sprintf("new benchmark %s (no baseline)", name))
+			continue
+		}
+		for _, m := range sortedKeys(was) {
+			if _, ran := cur[name][m]; !ran && gated(m, wall) {
+				lines = append(lines, fmt.Sprintf("%-40s %-18s missing from this run (in the baseline)  MISSING", name, m))
+				ok = false
+			}
+		}
+		for _, m := range sortedKeys(cur[name]) {
+			now := cur[name][m]
+			old, inBase := was[m]
+			if !inBase || !gated(m, wall) || old == 0 {
+				continue
+			}
+			delta := (now - old) / old
+			worse := delta > threshold
+			if higherBetter(m) {
+				worse = delta < -threshold
+			}
+			status := "ok"
+			if worse {
+				status = "REGRESSION"
+				ok = false
+			}
+			lines = append(lines, fmt.Sprintf("%-40s %-18s %12.4g -> %12.4g  (%+.1f%%)  %s",
+				name, m, old, now, 100*delta, status))
+		}
+	}
+	return lines, ok
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func fatal(format string, args ...any) {

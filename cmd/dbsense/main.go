@@ -6,11 +6,8 @@
 //	dbsense run <experiment> [flags]   run one experiment (or "all")
 //	dbsense serve [flags]              one serving cell at -rate conn/s
 //	dbsense list                       list experiments
-//	dbsense [flags] <experiment>       deprecated flat form of "run"
 //
-// The flat form keeps working for existing scripts (a deprecation note
-// goes to stderr); flags are accepted before or after the experiment
-// name in either form.
+// Flags are accepted before or after the experiment name.
 //
 // Experiments: table2, fig2cores, fig2llc, table3, table4, fig3, fig4,
 // fig5, fig5write, fig6, fig7, fig8, trace, qstats, serving,
@@ -28,9 +25,10 @@
 // "Resilience experiments", "Crash recovery", "Replication & failover",
 // and "Chaos & client resilience").
 //
-// Unknown experiment names and unknown -emit / -workload values are
-// usage errors, rejected before any side effect (no output file is
-// created, no sweep starts).
+// Unknown commands and experiment names, and out-of-range flag values
+// (-emit, -workload, -schedule, -trace), are usage errors: exit status
+// 2, rejected before any side effect (no output file is created, no
+// sweep starts).
 //
 // With -emit json|csv, every result is also written as structured
 // records (JSONL or fixed-column CSV) to the -o path, byte-identical
@@ -45,6 +43,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -69,7 +68,6 @@ var (
 	emitFmt  = flag.String("emit", "", "also write structured records: json (JSONL) or csv")
 	emitOut  = flag.String("o", "", "structured-output path (default dbsense-out.jsonl or .csv)")
 	traceQ   = flag.Int("trace", 14, "TPC-H query number for the trace experiment")
-	rowExec  = flag.Bool("rowexec", false, "force row-at-a-time execution (default: vectorized batches)")
 
 	servRate  = flag.Float64("rate", 16, "serve/chaos: mean connection arrivals per second")
 	servStorm = flag.Bool("storm", false, "serve: drive a 6x arrival burst through the middle of the window")
@@ -197,7 +195,6 @@ func opts() harness.Options {
 	o.Warmup = sim.DurationOf(*warmup)
 	o.Seed = *seed
 	o.Parallel = *parallel
-	o.RowExec = *rowExec
 	// Structured output and Prometheus exposition both consume telemetry
 	// series, so either flag arms the registry; plain table runs stay
 	// bit-identical to a telemetry-free build.
@@ -268,15 +265,6 @@ var expDesc = map[string]string{
 	"all":         "every non-fault experiment in sequence",
 }
 
-func knownExperiment(name string) bool {
-	for _, e := range experiments {
-		if e == name {
-			return true
-		}
-	}
-	return false
-}
-
 func printList() {
 	for _, e := range experiments {
 		fmt.Printf("  %-11s %s\n", e, expDesc[e])
@@ -295,7 +283,6 @@ func usage() {
   dbsense run <experiment> [flags]   run one experiment
   dbsense serve [flags]              one serving cell at -rate conn/s
   dbsense list                       list experiments
-  dbsense [flags] <experiment>       deprecated flat form of "run"
 experiments: %s
 `, list)
 	os.Exit(2)
@@ -317,70 +304,59 @@ func parseFlags(args []string) []string {
 	return pos
 }
 
-func main() {
-	args := os.Args[1:]
-	mode, rest := "legacy", args
+// parseCommand parses the command line and validates every flag value
+// before any side effect, returning the mode ("run", "serve" or "list")
+// and, for run, the experiment name.
+func parseCommand(args []string) (mode, exp string, err error) {
 	if len(args) > 0 {
-		switch args[0] {
-		case "run", "serve", "list":
-			mode, rest = args[0], args[1:]
-		}
+		mode = args[0]
 	}
-	pos := parseFlags(rest)
-	var exp string
 	switch mode {
-	case "list":
-		if len(pos) != 0 {
-			usage()
-		}
-		printList()
-		return
-	case "serve":
-		if len(pos) != 0 {
-			usage()
-		}
-	default: // "run" and the legacy flat form
+	case "run", "serve", "list":
+	default:
+		return "", "", fmt.Errorf("unknown command %q (want run, serve, or list)", mode)
+	}
+	pos := parseFlags(args[1:])
+	if mode == "run" {
 		if len(pos) != 1 {
-			usage()
+			return "", "", fmt.Errorf("run takes one experiment name, got %d arguments", len(pos))
 		}
 		exp = pos[0]
-		if mode == "legacy" {
-			fmt.Fprintf(os.Stderr, "note: flat `dbsense [flags] <experiment>` is deprecated; use `dbsense run %s [flags]`\n", exp)
+		if !slices.Contains(experiments, exp) {
+			return "", "", fmt.Errorf("unknown experiment %q", exp)
 		}
-	}
-	// Validate everything before any side effect: an unknown experiment
-	// or -emit/-workload value must not create the output file or start
-	// the default sweep.
-	if mode != "serve" && !knownExperiment(exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
-		usage()
+	} else if len(pos) != 0 {
+		return "", "", fmt.Errorf("%s takes no arguments, got %q", mode, pos)
 	}
 	if *emitFmt != "" && *emitFmt != "json" && *emitFmt != "csv" {
-		fmt.Fprintf(os.Stderr, "unknown -emit format %q (want json or csv)\n", *emitFmt)
-		os.Exit(2)
+		return "", "", fmt.Errorf("unknown -emit format %q (want json or csv)", *emitFmt)
 	}
 	switch *workload {
 	case "", "tpch", "tpce", "asdb", "htap":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -workload %q (want tpch, tpce, asdb, or htap)\n", *workload)
-		os.Exit(2)
+		return "", "", fmt.Errorf("unknown -workload %q (want tpch, tpce, asdb, or htap)", *workload)
 	}
 	if (exp == "resilience" || exp == "recovery" || exp == "failover" || exp == "chaos") && !*faults {
-		fmt.Fprintf(os.Stderr, "the %s experiment requires -faults\n", exp)
-		os.Exit(2)
+		return "", "", fmt.Errorf("the %s experiment requires -faults", exp)
 	}
-	if *chaosSched != "" {
-		ok := false
-		for _, n := range fault.ScheduleNames() {
-			if n == *chaosSched {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown -schedule %q (want one of %v)\n", *chaosSched, fault.ScheduleNames())
-			os.Exit(2)
-		}
+	if *chaosSched != "" && !slices.Contains(fault.ScheduleNames(), *chaosSched) {
+		return "", "", fmt.Errorf("unknown -schedule %q (want one of %v)", *chaosSched, fault.ScheduleNames())
+	}
+	if *traceQ < 1 || *traceQ > tpch.NumQueries {
+		return "", "", fmt.Errorf("-trace %d out of range (want a TPC-H query number 1..%d)", *traceQ, tpch.NumQueries)
+	}
+	return mode, exp, nil
+}
+
+func main() {
+	mode, exp, err := parseCommand(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		usage()
+	}
+	if mode == "list" {
+		printList()
+		return
 	}
 	if *emitFmt != "" {
 		path := *emitOut

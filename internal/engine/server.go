@@ -52,11 +52,6 @@ type Config struct {
 	// Off (the default) costs nothing; QueryResult.Trace is then nil.
 	Trace bool
 
-	// RowExec forces row-at-a-time execution. The default (false) runs
-	// the vectorized batch executor; results are row-identical, and
-	// charges move to per-batch granularity (see EXPERIMENTS.md).
-	RowExec bool
-
 	// Telemetry arms the unified metric registry: every subsystem's
 	// counters/gauges/histograms sampled into time series at 1-second
 	// simulated intervals (Server.Tel). Off (the default) allocates
@@ -547,7 +542,6 @@ func (s *Server) runQuery(p *sim.Proc, q *opt.LNode, maxdopHint int, grantPct fl
 		MetaBase:   s.metaBase,
 		Home:       s.PickCore(),
 		Deadline:   deadline,
-		Vectorized: !s.Cfg.RowExec,
 	}
 	if s.Cfg.Trace {
 		env.Trace = trace.New(label, stmt)

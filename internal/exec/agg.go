@@ -3,9 +3,6 @@ package exec
 import (
 	"math"
 	"sort"
-
-	"repro/internal/access"
-	"repro/internal/sim"
 )
 
 // aggWidth returns the state slots an aggregate needs.
@@ -71,33 +68,8 @@ func (t *aggTable) len() int {
 	return len(t.ents)
 }
 
-// entRow returns row r's group entry, creating it on first sight.
-func (t *aggTable) entRow(r Row) *groupEnt {
-	if t.inline != nil {
-		var k inlineKey
-		for i, c := range t.groups {
-			k[i] = r[c]
-		}
-		if ix, ok := t.inline[k]; ok {
-			return t.ents[ix]
-		}
-		g := &groupEnt{key: project(r, t.groups), state: newAggState(t.aggs)}
-		t.inline[k] = int32(len(t.ents))
-		t.ents = append(t.ents, g)
-		return g
-	}
-	k := encodeKey(r, t.groups)
-	if ix, ok := t.wide[k]; ok {
-		return t.ents[ix]
-	}
-	g := &groupEnt{key: project(r, t.groups), state: newAggState(t.aggs)}
-	t.wide[k] = int32(len(t.ents))
-	t.ents = append(t.ents, g)
-	return g
-}
-
-// entCols is the columnar twin of entRow: group values come from
-// cols[groups[i]][phys].
+// entCols returns the group entry of physical row phys, creating it on
+// first sight; group values come from cols[groups[i]][phys].
 func (t *aggTable) entCols(cols [][]int64, phys int32) *groupEnt {
 	if t.inline != nil {
 		var k inlineKey
@@ -276,8 +248,7 @@ func finalize(key Row, st []int64, aggs []AggSpec) Row {
 
 // finalizeAggTables merges partition-local tables, emits finalized
 // groups in deterministic (sorted) group order, and handles the scalar
-// aggregate over an empty input (one zero row). Shared by the row and
-// batch hash-aggregate paths.
+// aggregate over an empty input (one zero row).
 func finalizeAggTables(partials []*aggTable, groups []int, aggs []AggSpec) []Row {
 	merged := newAggTable(groups, aggs)
 	for _, t := range partials {
@@ -301,57 +272,5 @@ func finalizeAggTables(partials []*aggTable, groups []int, aggs []AggSpec) []Row
 		}
 		return false
 	})
-	return out
-}
-
-// runHashAgg aggregates the child's output. Parallel stages compute
-// partition-local partial aggregates; the coordinator merges and emits
-// groups in deterministic (sorted) group order. Aggregate inputs are
-// weighted by the child's nominal weight so SUM/COUNT reflect nominal
-// cardinalities.
-func runHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []Row) []Row {
-	parts := stageDop(env, n)
-	weight := n.Left.Weight
-	if weight < 1 {
-		weight = 1
-	}
-
-	inParts := partitionRows(in, n.Groups, parts)
-	partials := make([]*aggTable, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		at := newAggTable(n.Groups, n.Aggs)
-		rows := inParts[part]
-		for _, r := range rows {
-			accumulate(at.entRow(r).state, n.Aggs, r, weight)
-		}
-		w := int64(len(rows)) * weight
-		ctx.CPU(float64(w) * ctx.Cost.AggIPR)
-		// The group table's nominal footprint: groups are dimension-level
-		// entities, so their nominal count scales with the group count,
-		// not the input weight.
-		groupBytes := int64(at.len()) * tupleBytes(env, n.Left)
-		if groupBytes > 0 {
-			region := env.M.ReserveRegion(groupBytes)
-			ctx.TouchRandom(region, groupBytes, w, true, 4)
-		}
-		partials[part] = at
-	})
-
-	// Grant accounting on the merged table.
-	var totalGroups int64
-	for _, at := range partials {
-		totalGroups += int64(at.len())
-	}
-	needBytes := totalGroups * tupleBytes(env, n.Left)
-	overflow := env.Grant.Reserve(needBytes)
-	defer env.Grant.Release(needBytes - overflow)
-	if overflow > 0 {
-		spill(p, env, n, st, overflow, 0)
-	}
-
-	ctx := env.newCtx(p, env.home())
-	out := finalizeAggTables(partials, n.Groups, n.Aggs)
-	ctx.CPU(float64(totalGroups) * ctx.Cost.AggIPR)
-	ctx.Flush()
 	return out
 }

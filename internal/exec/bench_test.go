@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -30,8 +28,8 @@ func benchTable(te *testEnv, rows int64) *storage.Table {
 // vectorized engine is built for.
 func benchPlan(tab *storage.Table) *Node {
 	return &Node{
-		Kind: KHashAgg,
-		Left: scanNode(tab, []int{1, 2}, func(r Row) bool { return r[1] < 400 }, 1, true),
+		Kind:   KHashAgg,
+		Left:   scanNode(tab, []int{1, 2}, func(r Row) bool { return r[1] < 400 }, 1, true),
 		Groups: []int{0},
 		Aggs:   []AggSpec{{Kind: AggSum, Col: 1}, {Kind: AggCount}},
 		Weight: tab.K, Parallel: true,
@@ -53,61 +51,54 @@ func runBench(te *testEnv, root *Node) (simNs float64, outRows int) {
 	return float64(done - start), len(rows)
 }
 
-// BenchmarkExecEngines compares row-at-a-time and batch execution on the
-// same plan. ns/op and B/op are wall-clock (machine-dependent); sim_ms
-// is the simulated query latency and is fully deterministic.
+// BenchmarkExecEngines times the executor on benchPlan. ns/op and B/op
+// are wall-clock (machine-dependent); sim_ms is the simulated query
+// latency and is fully deterministic. The sub-benchmark keeps its name,
+// ExecEngines/vec, so sim_ms stays comparable across BENCH snapshots.
 func BenchmarkExecEngines(b *testing.B) {
-	for _, eng := range []struct {
-		name string
-		vec  bool
-	}{{"row", false}, {"vec", true}} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var simMs float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				te := newTestEnv(4)
-				te.env.Vectorized = eng.vec
-				root := benchPlan(benchTable(te, benchRows))
-				b.StartTimer()
-				ns, n := runBench(te, root)
-				if n == 0 {
-					b.Fatal("no output rows")
-				}
-				simMs = ns / 1e6
+	b.Run("vec", func(b *testing.B) {
+		b.ReportAllocs()
+		var simMs float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			te := newTestEnv(4)
+			root := benchPlan(benchTable(te, benchRows))
+			b.StartTimer()
+			ns, n := runBench(te, root)
+			if n == 0 {
+				b.Fatal("no output rows")
 			}
-			b.ReportMetric(simMs, "sim_ms")
-		})
-	}
+			simMs = ns / 1e6
+		}
+		b.ReportMetric(simMs, "sim_ms")
+	})
 }
 
-// BenchmarkVectorizedSpeedup reports the headline trajectory metrics:
-// alloc_reduction_x (deterministic, gated in CI) and vec_speedup_wall
-// (wall-clock, informational only).
-func BenchmarkVectorizedSpeedup(b *testing.B) {
-	measure := func(vec bool) (wallNs float64, allocs uint64) {
-		te := newTestEnv(4)
-		te.env.Vectorized = vec
-		root := benchPlan(benchTable(te, benchRows))
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		if _, n := runBench(te, root); n == 0 {
-			b.Fatal("no output rows")
+// execAllocBudget caps the host allocations of one benchPlan run: 1.1x
+// the 850 measured when the budget was set (Go 1.24, with and without
+// -race). The headroom is meant for allocation differences between Go
+// releases; the count under go.mod's Go 1.22 was not measured.
+const execAllocBudget = 935
+
+// TestExecAllocBudget holds the executor to execAllocBudget on
+// benchPlan; the environments are built outside the measured runs.
+func TestExecAllocBudget(t *testing.T) {
+	const runs = 5
+	envs := make([]*testEnv, runs+1) // AllocsPerRun adds a warm-up run
+	roots := make([]*Node, runs+1)
+	for i := range envs {
+		envs[i] = newTestEnv(4)
+		roots[i] = benchPlan(benchTable(envs[i], benchRows))
+	}
+	i := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		if _, n := runBench(envs[i], roots[i]); n == 0 {
+			t.Fatal("no output rows")
 		}
-		wallNs = float64(time.Since(t0))
-		runtime.ReadMemStats(&after)
-		return wallNs, after.Mallocs - before.Mallocs
+		i++
+	})
+	if avg > execAllocBudget {
+		t.Fatalf("benchPlan run allocates %.0f objects, budget %d", avg, execAllocBudget)
 	}
-	var speedup, allocRatio float64
-	for i := 0; i < b.N; i++ {
-		rowWall, rowAllocs := measure(false)
-		vecWall, vecAllocs := measure(true)
-		speedup = rowWall / vecWall
-		allocRatio = float64(rowAllocs) / float64(vecAllocs)
-	}
-	b.ReportMetric(speedup, "vec_speedup_wall")
-	b.ReportMetric(allocRatio, "alloc_reduction_x")
-	b.ReportMetric(0, "ns/op") // the per-engine times are what matter
+	t.Logf("benchPlan run allocates %.0f objects (budget %d)", avg, execAllocBudget)
 }

@@ -65,13 +65,6 @@ type Env struct {
 	// checks it once per node, so untraced queries pay nothing.
 	Trace *trace.Trace
 
-	// Vectorized selects the batch-at-a-time column-vector engine.
-	// Results are row-identical to the row engine; only the charging
-	// granularity (and the executor's own allocation behaviour) differ.
-	// The zero value runs the row engine, so exec-level tests exercise
-	// the row path unless they opt in.
-	Vectorized bool
-
 	killed bool  // deadline expired mid-execution
 	ioErr  error // first unrecoverable device error from any worker
 }
@@ -200,7 +193,7 @@ func (e *Env) parallel(p *sim.Proc, nParts int, f func(ctx *access.Ctx, part int
 // QueryStats summarizes one query execution.
 type QueryStats struct {
 	OutRows    int
-	Batches    int // column batches emitted across all operators (vectorized engine)
+	Batches    int // column batches emitted across all operators
 	Spills     int
 	SpillBytes int64
 	GrantBytes int64

@@ -17,127 +17,11 @@ func hashRow(r Row, keys []int) uint64 {
 	return h
 }
 
-func keysEqual(a Row, ak []int, b Row, bk []int) bool {
-	for i := range ak {
-		if a[ak[i]] != b[bk[i]] {
-			return false
-		}
-	}
-	return true
-}
-
-// joinTable is one partition's hash table: hash -> indices of build rows.
-type joinTable struct {
-	buckets map[uint64][]int32
-	rows    []Row
-}
-
-func newJoinTable() *joinTable {
-	return &joinTable{buckets: make(map[uint64][]int32)}
-}
-
-func (jt *joinTable) insert(r Row, keys []int) {
-	h := hashRow(r, keys)
-	jt.buckets[h] = append(jt.buckets[h], int32(len(jt.rows)))
-	jt.rows = append(jt.rows, r)
-}
-
-// runHashJoin materializes both children, builds partitioned hash tables
-// over the build (left) side, and probes with the right side. Exceeding
-// the memory grant spills partitions to tempdb (charged as write+read of
-// the spilled nominal bytes).
-func runHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []Row) []Row {
-	rowBytes := tupleBytes(env, n.Left)
-	needBytes := int64(len(build)) * n.Left.Weight * rowBytes
-	overflow := env.Grant.Reserve(needBytes)
-	defer env.Grant.Release(needBytes - overflow)
-	if overflow > 0 {
-		spill(p, env, n, st, overflow, probeSpillShare(overflow, needBytes, int64(len(probe))*n.Right.Weight*tupleBytes(env, n.Right)))
-	}
-
-	region := env.M.ReserveRegion(needBytes + 1)
-	parts := stageDop(env, n)
-	tables := make([]*joinTable, parts)
-	buildParts := partitionRows(build, n.BuildKeys, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		jt := newJoinTable()
-		rows := buildParts[part]
-		for _, r := range rows {
-			jt.insert(r, n.BuildKeys)
-		}
-		w := int64(len(rows)) * n.Left.Weight
-		ctx.CPU(float64(w) * ctx.Cost.HashBuildIPR)
-		share := needBytes / int64(parts)
-		if share < 1 {
-			share = 1
-		}
-		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, true, 4)
-		tables[part] = jt
-	})
-
-	probeParts := partitionRows(probe, n.ProbeKeys, parts)
-	results := make([][]Row, parts)
-	env.parallel(p, parts, func(ctx *access.Ctx, part int) {
-		jt := tables[part]
-		rows := probeParts[part]
-		w := int64(len(rows)) * n.Right.Weight
-		ctx.CPU(float64(w) * ctx.Cost.HashProbeIPR)
-		share := needBytes / int64(parts)
-		if share < 1 {
-			share = 1
-		}
-		ctx.TouchRandom(region+uint64(part)*uint64(share), share, w, false, 4)
-		var out []Row
-		for _, pr := range rows {
-			h := hashRow(pr, n.ProbeKeys)
-			matched := false
-			for _, bi := range jt.buckets[h] {
-				br := jt.rows[bi]
-				if !keysEqual(br, n.BuildKeys, pr, n.ProbeKeys) {
-					continue
-				}
-				matched = true
-				if n.JoinType == InnerJoin {
-					out = append(out, concatRows(pr, br))
-				} else {
-					break
-				}
-			}
-			switch n.JoinType {
-			case SemiJoin:
-				if matched {
-					out = append(out, pr)
-				}
-			case AntiJoin:
-				if !matched {
-					out = append(out, pr)
-				}
-			}
-		}
-		results[part] = out
-	})
-	return flatten(results)
-}
-
 // concatRows emits probe ++ build (the executor's join output layout).
 func concatRows(probe, build Row) Row {
 	out := make(Row, 0, len(probe)+len(build))
 	out = append(out, probe...)
 	out = append(out, build...)
-	return out
-}
-
-// partitionRows splits rows by key hash for partitioned parallel stages;
-// with one partition it passes rows through.
-func partitionRows(rows []Row, keys []int, parts int) [][]Row {
-	if parts <= 1 {
-		return [][]Row{rows}
-	}
-	out := make([][]Row, parts)
-	for _, r := range rows {
-		p := int(hashRow(r, keys) % uint64(parts))
-		out[p] = append(out[p], r)
-	}
 	return out
 }
 

@@ -1,26 +1,23 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"os"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/colstore"
+	"repro/internal/exec/digest"
 	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
-// diffCase is one row-vs-batch differential point: build constructs the
-// same plan over fresh tables in a fresh env, and the two engines must
-// produce identical rows in identical order.
+// diffCase is one point of the executor's result gate: build constructs
+// a plan over fresh tables in a fresh env, and its result must reproduce
+// the case's committed digest (TestVectorizedMatchesRowEngine).
 type diffCase struct {
 	name  string
 	grant int64 // grant bytes (0 = unlimited)
@@ -128,8 +125,8 @@ func diffCases() []diffCase {
 		}},
 		{name: "filter-nil-pred", build: func(te *testEnv) *Node {
 			return &Node{
-				Kind: KFilter,
-				Left: scanNode(te.ordersTable(), []int{0, 1}, nil, 0, true),
+				Kind:   KFilter,
+				Left:   scanNode(te.ordersTable(), []int{0, 1}, nil, 0, true),
 				Weight: 5,
 			}
 		}},
@@ -164,9 +161,9 @@ func diffCases() []diffCase {
 		}},
 		{name: "sort-multikey", build: func(te *testEnv) *Node {
 			return &Node{
-				Kind: KSort,
-				Left: scanNode(te.ordersTable(), []int{1, 2, 0}, nil, 0, true),
-				Keys: []SortKey{{Col: 0}, {Col: 1, Desc: true}},
+				Kind:   KSort,
+				Left:   scanNode(te.ordersTable(), []int{1, 2, 0}, nil, 0, true),
+				Keys:   []SortKey{{Col: 0}, {Col: 1, Desc: true}},
 				Weight: 5, Parallel: true,
 			}
 		}},
@@ -267,76 +264,38 @@ func diffCases() []diffCase {
 // operator kind, join type, and aggregate kind (plus empty inputs,
 // min/max sentinels, and spill paths) must reproduce the committed
 // digest in testdata/diffcases.digest at DOP 1 and DOP 4. The digests
-// were recorded while the row-at-a-time engine still ran beside the
-// batch engine and both matched each one, so a match here is a match
-// with the row engine's rows, order, and spill accounting.
+// were recorded while a row-at-a-time engine still ran beside the batch
+// engine and both matched each one, so a match here is a match with the
+// row engine's rows, order, and spill accounting.
 func TestVectorizedMatchesRowEngine(t *testing.T) {
-	want := loadDigests(t, "testdata/diffcases.digest")
+	want, err := digest.Load("testdata/diffcases.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range diffCases() {
 		c := c
 		for _, cores := range []int{1, 4} {
 			cores := cores
 			name := fmt.Sprintf("%s/dop%d", c.name, cores)
 			t.Run(name, func(t *testing.T) {
-				for _, vec := range []bool{false, true} {
-					te := newTestEnv(cores)
-					if c.grant != 0 {
-						te.env.Grant = &Grant{Bytes: c.grant}
-					}
-					te.env.Vectorized = vec
-					rows, st := te.run(c.build(te))
-					got := resultDigest(rows, st)
-					if got != want[name] {
-						t.Fatalf("vectorized=%v: digest mismatch\ngot  %s %s\nwant %s %s\nrows (%d): %v",
-							vec, name, got, name, want[name], len(rows), sampleRows(rows))
-					}
-					if c.grant != 0 && st.Spills == 0 {
-						t.Fatalf("spill case did not spill")
-					}
-					if vec && len(rows) > 0 && st.Batches == 0 {
-						t.Fatalf("vectorized run reported no batches")
-					}
+				te := newTestEnv(cores)
+				if c.grant != 0 {
+					te.env.Grant = &Grant{Bytes: c.grant}
+				}
+				rows, st := te.run(c.build(te))
+				if got := digest.Result(rows, st.OutRows, st.Spills, st.SpillBytes); got != want[name] {
+					t.Fatalf("digest mismatch\ngot  %s %s\nwant %s %s\nrows (%d): %v",
+						name, got, name, want[name], len(rows), sampleRows(rows))
+				}
+				if c.grant != 0 && st.Spills == 0 {
+					t.Fatalf("spill case did not spill")
+				}
+				if len(rows) > 0 && st.Batches == 0 {
+					t.Fatalf("run reported no batches")
 				}
 			})
 		}
 	}
-}
-
-// resultDigest renders one query result as a digest line: an FNV-1a
-// hash over the rows in order (each row's width, then its values) and
-// the OutRows, Spills, and SpillBytes stats.
-func resultDigest(rows []Row, st QueryStats) string {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	for _, r := range rows {
-		put(uint64(len(r)))
-		for _, v := range r {
-			put(uint64(v))
-		}
-	}
-	return fmt.Sprintf("%016x rows=%d spills=%d spill_bytes=%d", h.Sum64(), st.OutRows, st.Spills, st.SpillBytes)
-}
-
-// loadDigests reads a digest file: one "<name> <digest>" line per case.
-func loadDigests(t *testing.T, path string) map[string]string {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-		name, digest, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", path, line)
-		}
-		out[name] = digest
-	}
-	return out
 }
 
 func sampleRows(rows []Row) []Row {
@@ -356,7 +315,7 @@ func TestKWayMergeEqualKeysDeterministic(t *testing.T) {
 		{},
 		{{1, 30}, {3, 31}},
 	}
-	got := mergeSorted(chunks, []SortKey{{Col: 0}})
+	got := kwayMerge(chunks, func(a, b Row) bool { return a[0] < b[0] })
 	want := []Row{{1, 10}, {1, 11}, {1, 20}, {1, 30}, {2, 21}, {3, 12}, {3, 31}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order:\ngot  %v\nwant %v", got, want)
@@ -373,8 +332,8 @@ func TestKWayMergeEqualKeysDeterministic(t *testing.T) {
 }
 
 // TestTopKIdxMatchesStableSortPrefix checks the bounded heap against the
-// definition runTop implements: the first limit rows of the input's
-// stable sort.
+// definition the Top operator implements: the first limit rows of the
+// input's stable sort.
 func TestTopKIdxMatchesStableSortPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -410,18 +369,19 @@ func TestTopKIdxMatchesStableSortPrefix(t *testing.T) {
 // allocate.
 func TestAggTableInlineKeyAllocs(t *testing.T) {
 	at := newAggTable([]int{0, 1}, []AggSpec{{Kind: AggSum, Col: 2}, {Kind: AggCount}})
-	rows := make([]Row, 64)
-	for i := range rows {
-		rows[i] = Row{int64(i % 4), int64(i % 3), int64(i)}
+	const n = 64
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i], cols[1][i], cols[2][i] = int64(i%4), int64(i%3), int64(i)
 	}
 	// Materialize every group first, then measure steady-state lookups.
-	for _, r := range rows {
-		accumulate(at.entRow(r).state, at.aggs, r, 1)
+	for i := int32(0); i < n; i++ {
+		accumulateCols(at.entCols(cols, i).state, at.aggs, cols, i, 1)
 	}
-	i := 0
+	i := int32(0)
 	avg := testing.AllocsPerRun(1000, func() {
-		r := rows[i%len(rows)]
-		accumulate(at.entRow(r).state, at.aggs, r, 1)
+		ph := i % n
+		accumulateCols(at.entCols(cols, ph).state, at.aggs, cols, ph, 1)
 		i++
 	})
 	if avg != 0 {
@@ -457,11 +417,9 @@ func TestDecodeRangeMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestVectorizedTraceRecordsBatches checks spans carry batch counts under
-// the batch engine.
+// TestVectorizedTraceRecordsBatches checks spans carry batch counts.
 func TestVectorizedTraceRecordsBatches(t *testing.T) {
 	te := newTestEnv(2)
-	te.env.Vectorized = true
 	stmt := &metrics.Counters{}
 	te.env.Trace = trace.New("q", stmt)
 	tab := te.ordersTable()
@@ -510,13 +468,11 @@ func TestBatchBuilderBoundaries(t *testing.T) {
 	}
 }
 
-// TestVectorizedSerialParallelIdentical mirrors the row engine's
-// determinism guarantee: the batch engine emits identical rows at any
-// DOP.
+// TestVectorizedSerialParallelIdentical checks the determinism
+// guarantee: the engine emits identical rows at any DOP.
 func TestVectorizedSerialParallelIdentical(t *testing.T) {
 	run := func(cores int) []Row {
 		te := newTestEnv(cores)
-		te.env.Vectorized = true
 		orders := te.ordersTable()
 		cust := te.custTable()
 		join := &Node{

@@ -9,23 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the batch-at-a-time engine: operators consume and produce
-// column-vector batches (vec.go) instead of materialized []Row. Both
-// engines share the cost model and produce row-identical output in the
-// same order; the batch engine charges CPU, buffer-pool pages, metadata
-// touches and deadline checks per batch instead of per partition, and
-// avoids the row engine's per-row allocations. Operator-region LLC
-// touches (TouchSeq/TouchRandom) stay at partition granularity — the
-// cache model samples coarse streaming touches, so both engines issue
-// the same touch pattern (see access.ScanCursor).
+// This file is the executor's engine: operators consume and produce
+// column-vector batches (vec.go) instead of materialized []Row. It
+// charges CPU, buffer-pool pages, metadata touches and deadline checks
+// per batch. Operator-region LLC touches (TouchSeq/TouchRandom) stay at
+// partition granularity, because the cache model samples coarse
+// streaming touches (see access.ScanCursor).
 //
 // NL index join, merge join, and stream aggregate are row-bridged: their
-// row-at-a-time bodies run unchanged between batch conversions, which
-// keeps output identity trivially and costs one materialization at the
-// operator boundary (where the row engine materializes anyway).
+// row-at-a-time bodies (join.go, merge.go) run between batch
+// conversions, at the cost of one materialization at the operator
+// boundary.
+//
+// The committed result digests in testdata/diffcases.digest and
+// internal/workload/tpch/testdata pin every operator's rows, order, and
+// spill accounting (TestVectorizedMatchesRowEngine).
 
-// runNodeVec mirrors runNode for the batch engine; spans additionally
-// record the emitted batch count.
+// runNodeVec dispatches one plan node, opening a trace span around it
+// when the query is being traced; spans also record the emitted batch
+// count. Only the coordinator proc walks the plan tree, so span nesting
+// follows call nesting exactly.
 func runNodeVec(p *sim.Proc, env *Env, n *Node, st *QueryStats) []*Batch {
 	if env.expired(p.Now()) {
 		return nil
@@ -333,9 +336,11 @@ func vecProject(p *sim.Proc, env *Env, n *Node, in []*Batch) []*Batch {
 	return bb.finish()
 }
 
-// vecHashAgg is the batch twin of runHashAgg: partition-local aggTables
-// fed straight from column vectors, merged and emitted in sorted group
-// order by the shared finalizer.
+// vecHashAgg aggregates the child's output. Parallel stages build
+// partition-local aggTables straight from column vectors; the
+// coordinator merges them and emits groups in deterministic (sorted)
+// group order. Aggregate inputs are weighted by the child's nominal
+// weight so SUM/COUNT reflect nominal cardinalities.
 func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	parts := stageDop(env, n)
 	size := batchSize(env)
@@ -358,6 +363,9 @@ func vecHashAgg(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*
 		}
 		w := nrows * weight
 		ctx.CPU(float64(w) * ctx.Cost.AggIPR)
+		// The group table's nominal footprint: groups are dimension-level
+		// entities, so their nominal count scales with the group count,
+		// not the input weight.
 		groupBytes := int64(at.len()) * tupleBytes(env, n.Left)
 		if groupBytes > 0 {
 			region := env.M.ReserveRegion(groupBytes)
@@ -403,9 +411,11 @@ func keysEqualColsAt(acols [][]int64, ak []int, ai int32, bcols [][]int64, bk []
 	return true
 }
 
-// vecHashJoin is the batch twin of runHashJoin: the build side stays
-// columnar in the hash table; inner matches are gathered column-wise
-// into probe++build output batches.
+// vecHashJoin builds partitioned hash tables over the build (left) side
+// and probes with the right side. The build side stays columnar in the
+// hash table; inner matches are gathered column-wise into probe++build
+// output batches. Exceeding the memory grant spills partitions to tempdb
+// (charged as write+read of the spilled nominal bytes).
 func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []*Batch) []*Batch {
 	size := batchSize(env)
 	rowBytes := tupleBytes(env, n.Left)
@@ -513,7 +523,8 @@ func vecHashJoin(p *sim.Proc, env *Env, n *Node, st *QueryStats, build, probe []
 // vecSort sorts a permutation over the compacted input instead of
 // swapping rows: chunks of the permutation are stable-sorted in
 // parallel, then k-way merged with the shared chunk-index tie-break, so
-// the output order matches the row engine for any DOP.
+// the output order matches a stable serial sort for any DOP. Input
+// larger than the grant spills sort runs to tempdb.
 func vecSort(p *sim.Proc, env *Env, n *Node, st *QueryStats, in []*Batch) []*Batch {
 	weight := n.Left.Weight
 	if weight < 1 {

@@ -60,10 +60,6 @@ type Options struct {
 	// during sweeps.
 	Progress Progress
 
-	// RowExec forces row-at-a-time execution for every point (the
-	// default is the vectorized batch executor; engine.Config.RowExec).
-	RowExec bool
-
 	// Telemetry arms the engine-wide metric registry on every point
 	// (engine.Config.Telemetry): each Result carries a sampled time-series
 	// snapshot and sweep emitters export it as series records. Off, runs
@@ -136,7 +132,6 @@ func newServer(opt Options, k Knobs) *engine.Server {
 	cfg.StmtTimeout = k.StmtTimeout
 	cfg.Retry = k.Retry
 	cfg.Trace = k.Trace
-	cfg.RowExec = opt.RowExec
 	cfg.Telemetry = opt.Telemetry
 	srv := engine.NewServer(cfg)
 	if k.Cores > 0 {

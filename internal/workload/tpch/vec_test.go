@@ -1,31 +1,31 @@
 package tpch
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/exec"
+	"repro/internal/exec/digest"
 	"repro/internal/sim"
 )
 
 // TestVectorizedDoesNotPerturbResults runs each of the 22 queries once
 // per data size and requires its result to reproduce the committed
-// digest in testdata/queries.digest. The digests were recorded while the
+// digest in testdata/queries.digest. The digests were recorded while a
 // row-at-a-time engine still ran beside the batch engine and both
 // matched each one. At 300 lineitem rows per SF half the queries return
 // no rows; at 10000 all but Q20 and Q21 do. This is the end-to-end half
 // of the executor's result gate; the operator-level half lives in
 // internal/exec.
 func TestVectorizedDoesNotPerturbResults(t *testing.T) {
-	want := loadDigests(t, "testdata/queries.digest")
-	run := func(qn, lineitems int, rowExec bool) ([][]int64, exec.QueryStats) {
+	want, err := digest.Load("testdata/queries.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(qn, lineitems int) ([][]int64, exec.QueryStats) {
 		d := Build(Config{SF: 1, ActualLineitemPerSF: lineitems, Seed: int64(qn)})
-		srv := engine.NewServer(engine.Config{Seed: int64(qn), RowExec: rowExec})
+		srv := engine.NewServer(engine.Config{Seed: int64(qn)})
 		srv.AttachDB(d.DB)
 		srv.WarmBufferPool()
 		srv.Start()
@@ -42,49 +42,10 @@ func TestVectorizedDoesNotPerturbResults(t *testing.T) {
 	for _, lineitems := range []int{300, 10000} {
 		for qn := 1; qn <= NumQueries; qn++ {
 			name := fmt.Sprintf("Q%d/li%d", qn, lineitems)
-			for _, rowExec := range []bool{true, false} {
-				rows, st := run(qn, lineitems, rowExec)
-				if got := resultDigest(rows, st); got != want[name] {
-					t.Errorf("rowexec=%v: digest mismatch\ngot  %s %s\nwant %s %s", rowExec, name, got, name, want[name])
-				}
+			rows, st := run(qn, lineitems)
+			if got := digest.Result(rows, st.OutRows, st.Spills, st.SpillBytes); got != want[name] {
+				t.Errorf("digest mismatch\ngot  %s %s\nwant %s %s", name, got, name, want[name])
 			}
 		}
 	}
-}
-
-// resultDigest renders one query result as a digest line: an FNV-1a
-// hash over the rows in order (each row's width, then its values) and
-// the OutRows, Spills, and SpillBytes stats.
-func resultDigest(rows [][]int64, st exec.QueryStats) string {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	for _, r := range rows {
-		put(uint64(len(r)))
-		for _, v := range r {
-			put(uint64(v))
-		}
-	}
-	return fmt.Sprintf("%016x rows=%d spills=%d spill_bytes=%d", h.Sum64(), st.OutRows, st.Spills, st.SpillBytes)
-}
-
-// loadDigests reads a digest file: one "<name> <digest>" line per query.
-func loadDigests(t *testing.T, path string) map[string]string {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
-		name, digest, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", path, line)
-		}
-		out[name] = digest
-	}
-	return out
 }
